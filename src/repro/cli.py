@@ -682,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_job = sub.add_parser(
-        "job", help="client for a running job server (submit/poll/fetch)"
+        "job", help="client for a running job server (submit/wait/fetch)"
     )
     job_sub = p_job.add_subparsers(dest="job_command", required=True)
 
@@ -706,12 +706,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="spec as inline JSON, @file.json, or '-' for stdin",
     )
     j_sub.add_argument(
-        "--wait", action="store_true", help="poll until the job finishes"
+        "--wait", action="store_true", help="block until the job finishes"
     )
     j_sub.add_argument("--timeout", type=float, default=300.0)
     _job_common(j_sub)
     for verb, hlp in (
-        ("status", "poll one job's state"),
+        ("status", "show one job's state"),
         ("result", "fetch a finished job's rows"),
         ("cancel", "cancel a queued or running job"),
         ("restart", "re-queue a terminal job"),
@@ -2033,7 +2033,7 @@ def _print_job(view: dict, *, as_json: bool) -> None:
 
 
 def _cmd_job(args: argparse.Namespace) -> int:
-    from .serve import ServeError
+    from .serve import ServeError, WaitTimeout
 
     client = _job_client(args)
     try:
@@ -2112,9 +2112,9 @@ def _cmd_job(args: argparse.Namespace) -> int:
         else:
             print(format_kv(doc, title="server health"))
         return 0
-    except ServeError as exc:
+    except (ServeError, WaitTimeout) as exc:
         raise SystemExit(f"error: {exc}") from None
-    except (ConnectionError, OSError) as exc:
+    except OSError as exc:
         raise SystemExit(f"error: cannot reach server: {exc}") from None
 
 

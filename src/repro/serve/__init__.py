@@ -2,7 +2,7 @@
 
 ``repro serve`` turns the harness into a long-lived service: clients
 submit coloring work (single runs, sweeps, batch matrices, pipelines)
-as JSON over HTTP — localhost TCP or a Unix socket — and poll for
+as JSON over HTTP — localhost TCP or a Unix socket — and wait for
 results while a worker pool executes on the simulator. Job state lives
 in the run store's ``jobs`` table, so a killed server restarts with
 ``--recover`` and finishes what it started; duplicate submissions
@@ -11,11 +11,11 @@ dedup by content digest and return the cached result.
 Layers: :mod:`~repro.serve.model` (specs, validation, dedup digest) →
 :mod:`~repro.serve.executor` (worker threads on the harness) →
 :mod:`~repro.serve.app` (HTTP endpoints) → :mod:`~repro.serve.client`
-(the bundled submit/poll/fetch client).
+(the bundled submit/wait/fetch client).
 """
 
 from .app import ApiError, ServeApp, make_server, make_unix_server, run_server
-from .client import ServeClient, ServeError
+from .client import ServeClient, ServeError, WaitTimeout
 from .executor import JobExecutor
 from .model import (
     JOB_KINDS,
@@ -36,6 +36,7 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "SpecError",
+    "WaitTimeout",
     "expand_spec",
     "make_server",
     "make_unix_server",

@@ -11,7 +11,9 @@ pool, and the server-wide :class:`~repro.obs.registry.MetricsRegistry`
                           returns the job row, with ``deduped: true`` when an
                           equal-digest job was already queued/running/done
 ``GET  /jobs``            newest-first job listing (``?state=`` filter)
-``GET  /jobs/<id>``       status poll (row without the result payload)
+``GET  /jobs/<id>``       job status (row without the result payload);
+                          ``?wait=S`` blocks until the job is terminal or
+                          ``S`` seconds pass (capped at ``MAX_WAIT_S``)
 ``GET  /jobs/<id>/result``  the finished rows (409 until ``done``)
 ``POST /jobs/<id>/cancel``  cooperative cancel (between cells)
 ``POST /jobs/<id>/restart`` re-queue a terminal job for a fresh attempt
@@ -21,8 +23,12 @@ pool, and the server-wide :class:`~repro.obs.registry.MetricsRegistry`
 
 Submissions dedup by :func:`~repro.serve.model.spec_digest`: a repeat
 of work that is queued, running, or already done returns the existing
-job (poll it, fetch its cached result) instead of recomputing —
+job (wait on it, fetch its cached result) instead of recomputing —
 failed/cancelled attempts do not block a re-submit.
+
+Malformed requests fail as client errors: a non-numeric ``?wait=`` or
+``?limit=`` or a negative or non-integer ``Content-Length`` is a 400,
+and a body larger than ``MAX_BODY_BYTES`` is a 413, refused unread.
 
 Request handling is per-request-connection: handler threads open a
 short-lived :class:`~repro.store.db.RunStore` per call (WAL mode keeps
@@ -30,30 +36,43 @@ readers and the worker threads' writers out of each other's way), so
 the ledger — not server memory — is the source of truth, and a
 ``kill``-ed server loses nothing but in-flight simulated cycles:
 ``ServeApp(recover=True)`` re-queues every non-terminal row at boot.
+A blocking status request re-reads the ledger each time the executor
+signals a terminal write; it never answers from memory.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
 from ..obs.registry import MetricsRegistry
-from ..store.db import TERMINAL_JOB_STATES, RunStore, _utcnow
+from ..store.db import TERMINAL_JOB_STATES, RunStore
 from .executor import JobExecutor
 from .model import SpecError, expand_spec, new_job_id, normalize_spec, spec_digest
 
 __all__ = [
     "ApiError",
+    "MAX_BODY_BYTES",
+    "MAX_WAIT_S",
     "ServeApp",
     "make_server",
     "make_unix_server",
     "run_server",
 ]
+
+
+#: longest a ``GET /jobs/<id>?wait=S`` request blocks, in seconds
+MAX_WAIT_S = 30.0
+
+#: largest request body the server reads; anything bigger is a 413
+MAX_BODY_BYTES = 1 << 20
 
 
 class ApiError(Exception):
@@ -157,9 +176,23 @@ class ServeApp:
             raise ApiError(404, f"no job {job_id!r}")
         return row
 
-    def job(self, job_id: str) -> dict[str, Any]:
+    def job(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """The job's view, after blocking up to ``wait`` seconds for it to end.
+
+        ``wait`` is clamped to ``[0, MAX_WAIT_S]``. The generation is read
+        before the row, so a terminal write landing in between still
+        wakes the wait; every answer is a fresh ledger read.
+        """
+        deadline = time.monotonic() + min(max(wait, 0.0), MAX_WAIT_S)
+        woke = True
         with self.open_store() as store:
-            return _job_view(self._fetch(store, job_id))
+            while True:
+                seen = self.executor.generation
+                row = self._fetch(store, job_id)
+                remaining = deadline - time.monotonic()
+                if not woke or remaining <= 0 or row["state"] in TERMINAL_JOB_STATES:
+                    return _job_view(row)
+                woke = self.executor.wait_change(seen, remaining)
 
     def result(self, job_id: str) -> dict[str, Any]:
         with self.open_store() as store:
@@ -181,9 +214,7 @@ class ServeApp:
             if row["state"] == "queued":
                 # not started yet: finalize right here; a worker that
                 # dequeues it later sees the non-queued state and skips
-                store.update_job(
-                    job_id, state="cancelled", finished_at=_utcnow()
-                )
+                self.executor.finish(store, job_id, "cancelled")
             return _job_view(self._fetch(store, job_id))
 
     def restart(self, job_id: str) -> dict[str, Any]:
@@ -244,6 +275,22 @@ class ServeApp:
 # ----------------------------------------------------------------------
 
 
+def _number(
+    query: dict[str, str], name: str, default: float, kind: Callable[[str], float]
+) -> float:
+    """A finite numeric query parameter; anything else is a 400."""
+    raw = query.get(name)
+    if raw is None:
+        return default
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ApiError(400, f"query parameter {name}= must be a number, got {raw!r}")
+    return value
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto a bound :class:`ServeApp`."""
 
@@ -268,11 +315,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body stays unread, so this connection cannot carry
+            # another request
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise ApiError(
+                    413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+                )
+            raise ApiError(400, f"bad Content-Length: {declared!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -301,7 +363,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif method == "GET" and parts == ["metrics"]:
             self._send_json(200, app.metrics())
         elif method == "GET" and parts == ["jobs"]:
-            limit = int(query.get("limit", 50))
+            limit = int(_number(query, "limit", 50, int))
             self._send_json(
                 200, {"jobs": app.jobs(state=query.get("state"), limit=limit)}
             )
@@ -309,7 +371,8 @@ class _Handler(BaseHTTPRequestHandler):
             view, deduped = app.submit(self._read_body())
             self._send_json(200 if deduped else 201, {**view, "deduped": deduped})
         elif len(parts) == 2 and parts[0] == "jobs" and method == "GET":
-            self._send_json(200, app.job(parts[1]))
+            wait = _number(query, "wait", 0.0, float)
+            self._send_json(200, app.job(parts[1], wait=wait))
         elif len(parts) == 3 and parts[0] == "jobs":
             job_id, verb = parts[1], parts[2]
             if method == "GET" and verb == "result":

@@ -1,6 +1,6 @@
 """Bundled client for the job server — over TCP or a Unix socket.
 
-The quickstart loop is submit → poll → fetch::
+The quickstart loop is submit → wait → fetch::
 
     from repro.serve.client import ServeClient
 
@@ -14,10 +14,12 @@ Unix-socket servers are addressed by path::
     client = ServeClient(socket_path="/tmp/repro-serve.sock")
 
 The client is deliberately thin — stdlib :mod:`http.client`, one
-connection per call (the server is threaded; keep-alive would buy
-nothing for a polling client and would pin handler threads), and
-:class:`ServeError` carrying the HTTP status plus the server's
-``error`` message for anything non-2xx.
+connection per call (the server is threaded, one handler thread per
+connection), and :class:`ServeError` carrying the HTTP status plus the
+server's ``error`` message for anything non-2xx. :meth:`ServeClient.wait`
+holds one status request open on the server (``GET /jobs/<id>?wait=S``)
+until the job ends, so it learns of completion when it happens rather
+than at the next poll; running out of time raises :class:`WaitTimeout`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from typing import Any
 from urllib.parse import urlsplit
 
-__all__ = ["ServeClient", "ServeError"]
+__all__ = ["ServeClient", "ServeError", "WaitTimeout"]
 
 
 class ServeError(Exception):
@@ -41,6 +43,20 @@ class ServeError(Exception):
         self.message = message
 
 
+class WaitTimeout(TimeoutError):
+    """:meth:`ServeClient.wait` reached its deadline before the job ended.
+
+    A client-side deadline, not a transport failure: the job keeps
+    running server-side, and ``state`` is the last state seen.
+    """
+
+    def __init__(self, job_id: str, state: str, timeout: float) -> None:
+        super().__init__(f"job {job_id} still {state} after {timeout}s")
+        self.job_id = job_id
+        self.state = state
+        self.timeout = timeout
+
+
 class _UnixHTTPConnection(http.client.HTTPConnection):
     """``HTTPConnection`` that dials a Unix domain socket path."""
 
@@ -50,8 +66,12 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
 
     def connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        sock.connect(self._socket_path)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self._socket_path)
+        except OSError:
+            sock.close()
+            raise
         self.sock = sock
 
 
@@ -141,20 +161,30 @@ class ServeClient:
     def wait(
         self, job_id: str, *, timeout: float = 300.0, poll_s: float = 0.2
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its view.
+        """Block until the job reaches a terminal state; returns its view.
 
-        Raises :class:`TimeoutError` if the deadline passes first (the
-        job keeps running server-side; this only stops the waiting).
+        Each status request asks the server to hold it until the job
+        ends, for at most the time left, half the socket timeout (so a
+        held request never trips it) and the server's cap. A server
+        that answers non-terminal before that without holding (one that
+        predates ``?wait=``) is asked again after ``poll_s``, so the loop
+        never spins. Raises :class:`WaitTimeout` if the deadline passes
+        first (the job keeps running server-side; this only stops the
+        waiting).
         """
         from ..store.db import TERMINAL_JOB_STATES
+        from .app import MAX_WAIT_S
 
         deadline = time.monotonic() + timeout
         while True:
-            view = self.job(job_id)
+            left = deadline - time.monotonic()
+            hold = round(max(0.0, min(left, self.timeout / 2, MAX_WAIT_S)), 3)
+            sent = time.monotonic()
+            view = self.request("GET", f"/jobs/{job_id}?wait={hold}")
             if view["state"] in TERMINAL_JOB_STATES:
                 return view
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {view['state']} after {timeout}s"
-                )
-            time.sleep(poll_s)
+            now = time.monotonic()
+            if now >= deadline:
+                raise WaitTimeout(job_id, view["state"], timeout)
+            if now - sent < hold:
+                time.sleep(min(poll_s, deadline - now))

@@ -16,6 +16,12 @@ boundary is), and every state transition is written to the ``jobs``
 table *before* the work it describes, so a crash at any point leaves a
 row ``--recover`` knows how to re-queue.
 
+Every terminal write (done, failed, cancelled) goes through
+:meth:`JobExecutor.finish`, which bumps a generation counter under the
+executor's condition and wakes everyone blocked in
+:meth:`JobExecutor.wait_change` — how ``GET /jobs/<id>?wait=S`` answers
+the moment a job ends instead of at the next client poll.
+
 Each job runs traced into its own
 :class:`~repro.obs.registry.MetricsRegistry`; on completion the
 per-job aggregates are merged into the server-wide registry that
@@ -86,6 +92,9 @@ class JobExecutor:
         self._inflight: set[str] = set()
         self._cancel: dict[str, threading.Event] = {}
         self._threads: list[threading.Thread] = []
+        #: bumped after every terminal ledger write (see :meth:`finish`)
+        self._generation = 0
+        self._stopping = False
         self.counters: dict[str, int] = {
             "submitted": 0,
             "deduped": 0,
@@ -109,7 +118,14 @@ class JobExecutor:
             self._threads.append(t)
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Ask every worker to exit and join them (idempotent)."""
+        """Ask every worker to exit and join them (idempotent).
+
+        Blocked :meth:`wait_change` callers are released first, so a
+        status request waiting on a job answers now, not at its cap.
+        """
+        with self._idle:
+            self._stopping = True
+            self._idle.notify_all()
         for _ in self._threads:
             self._queue.put(_STOP)
         for t in self._threads:
@@ -146,6 +162,31 @@ class JobExecutor:
         """Block until no job is queued or running; False on timeout."""
         with self._idle:
             return self._idle.wait_for(lambda: not self._inflight, timeout=timeout)
+
+    @property
+    def generation(self) -> int:
+        """How many terminal ledger writes have been signalled so far."""
+        with self._lock:
+            return self._generation
+
+    def wait_change(self, generation: int, timeout: float) -> bool:
+        """Block until the generation moves past ``generation``.
+
+        Returns False on timeout or once :meth:`stop` has been called;
+        the caller re-reads the ledger either way.
+        """
+        with self._idle:
+            return self._idle.wait_for(
+                lambda: self._stopping or self._generation != generation,
+                timeout=timeout,
+            ) and not self._stopping
+
+    def finish(self, store: RunStore, job_id: str, state: str, **fields: object) -> None:
+        """Write a terminal ``state`` to the ledger, then wake every waiter."""
+        store.update_job(job_id, state=state, finished_at=_utcnow(), **fields)
+        with self._idle:
+            self._generation += 1
+            self._idle.notify_all()
 
     def merge_registry(self, job_registry: MetricsRegistry) -> None:
         with self._lock:
@@ -187,12 +228,7 @@ class JobExecutor:
     def _fail(self, store: RunStore, job_id: str, exc: Exception) -> None:
         self._bump("failed")
         try:
-            store.update_job(
-                job_id,
-                state="failed",
-                error=f"{type(exc).__name__}: {exc}",
-                finished_at=_utcnow(),
-            )
+            self.finish(store, job_id, "failed", error=f"{type(exc).__name__}: {exc}")
         except Exception:  # noqa: BLE001 - the ledger itself is down
             pass
 
@@ -204,7 +240,7 @@ class JobExecutor:
         event = self._cancel_event(job_id)
         if event.is_set():
             self._bump("cancelled")
-            store.update_job(job_id, state="cancelled", finished_at=_utcnow())
+            self.finish(store, job_id, "cancelled")
             return
         store.update_job(
             job_id,
@@ -268,19 +304,14 @@ class JobExecutor:
                 break
         if cancelled:
             self._bump("cancelled")
-            store.update_job(
-                job_id,
-                state="cancelled",
-                finished_at=_utcnow(),
-                cells_done=len(rows),
-            )
+            self.finish(store, job_id, "cancelled", cells_done=len(rows))
         else:
             self._bump("completed")
             self._bump("cells_run", len(rows))
-            store.update_job(
+            self.finish(
+                store,
                 job_id,
-                state="done",
-                finished_at=_utcnow(),
+                "done",
                 result=json.dumps(_jsonable(rows)),
                 cells_done=len(rows),
             )

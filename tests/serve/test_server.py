@@ -5,20 +5,27 @@ against a temp store and talks to it with the bundled client — the same
 path ``repro serve`` / ``repro job`` exercise, minus the CLI shim.
 """
 
+import contextlib
 import json
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.serve import (
     ServeApp,
     ServeClient,
     ServeError,
+    WaitTimeout,
     make_server,
     make_unix_server,
     new_job_id,
 )
-from repro.serve.executor import DELAY_ENV
+from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.executor import DELAY_ENV, JobExecutor
 from repro.serve.model import normalize_spec, spec_digest
 from repro.store.db import RunStore
 
@@ -30,21 +37,66 @@ BATCH4 = {
 }
 
 
-@pytest.fixture()
-def served(tmp_path):
-    """A live TCP server + client on an ephemeral port; always torn down."""
-    app = ServeApp(tmp_path / "runs.sqlite", workers=1)
+@contextlib.contextmanager
+def _serving(app):
+    """Serve ``app`` on an ephemeral TCP port; yields a client."""
     server = make_server(app, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address
-    client = ServeClient(f"http://{host}:{port}")
     try:
-        yield app, client, tmp_path / "runs.sqlite"
+        yield ServeClient(f"http://{host}:{port}")
     finally:
         server.shutdown()
         server.server_close()
         app.close()
+
+
+@pytest.fixture()
+def served(tmp_path):
+    """A live TCP server + client on an ephemeral port; always torn down."""
+    app = ServeApp(tmp_path / "runs.sqlite", workers=1)
+    with _serving(app) as client:
+        yield app, client, tmp_path / "runs.sqlite"
+
+
+@pytest.fixture()
+def status_requests(monkeypatch):
+    """Paths of every ``GET /jobs/<id>`` the client sends (any ``?wait=``)."""
+    paths: list[str] = []
+    request = ServeClient.request
+
+    def counting(client, method, path, body=None):
+        if method == "GET" and path.startswith("/jobs/") and "/result" not in path:
+            paths.append(path)
+        return request(client, method, path, body)
+
+    monkeypatch.setattr(ServeClient, "request", counting)
+    return paths
+
+
+def _blocked_waits(monkeypatch, app):
+    """An event set once a status request blocks in the executor."""
+    entered = threading.Event()
+    wait_change = app.executor.wait_change
+
+    def spy(generation, timeout):
+        entered.set()
+        return wait_change(generation, timeout)
+
+    monkeypatch.setattr(app.executor, "wait_change", spy)
+    return entered
+
+
+def _raw_http(client, request: bytes):
+    """Send raw bytes to the server; returns (status, JSON body)."""
+    with socket.create_connection((client.host, client.port), timeout=10) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 def _seed_interrupted(store_path, spec_raw, state):
@@ -319,3 +371,162 @@ class TestUnixSocket:
         server = make_unix_server(app, sock)
         server.server_close()
         app.close()
+
+
+class _NoWaitApp(ServeApp):
+    """A server that predates ``?wait=``: status requests never block."""
+
+    def job(self, job_id, wait=0.0):
+        return super().job(job_id)
+
+
+class TestBlockingWait:
+    def test_wait_is_one_status_request(self, served, monkeypatch, status_requests):
+        monkeypatch.setenv(DELAY_ENV, "300")
+        _, client, _ = served
+        job = client.submit(COLOR)
+        view = client.wait(job["job_id"], timeout=120)
+        assert view["state"] == "done"
+        assert len(status_requests) == 1
+        assert status_requests[0].startswith(f"/jobs/{job['job_id']}?wait=")
+
+    def test_deadline_raises_wait_timeout(self, served, monkeypatch):
+        monkeypatch.setenv(DELAY_ENV, "1500")
+        _, client, _ = served
+        job = client.submit(COLOR)
+        t0 = time.monotonic()
+        with pytest.raises(WaitTimeout) as exc:
+            client.wait(job["job_id"], timeout=0.5)
+        assert time.monotonic() - t0 < 1.5
+        assert exc.value.state in ("queued", "running")
+        assert f"job {job['job_id']} still {exc.value.state} after 0.5s" in str(exc.value)
+
+    def test_server_ignoring_wait_is_polled_at_poll_s(
+        self, tmp_path, monkeypatch, status_requests
+    ):
+        monkeypatch.setenv(DELAY_ENV, "1500")
+        with _serving(_NoWaitApp(tmp_path / "runs.sqlite", workers=1)) as client:
+            job = client.submit(COLOR)
+            with pytest.raises(WaitTimeout):
+                client.wait(job["job_id"], timeout=1.0, poll_s=0.2)
+        assert 2 <= len(status_requests) <= 1.0 / 0.2 + 1
+
+    def test_negative_wait_answers_now(self, served, monkeypatch):
+        monkeypatch.setenv(DELAY_ENV, "1500")
+        _, client, _ = served
+        job = client.submit(COLOR)
+        t0 = time.monotonic()
+        view = client.request("GET", f"/jobs/{job['job_id']}?wait=-5")
+        assert view["state"] in ("queued", "running")
+        assert time.monotonic() - t0 < 5
+
+    def test_cancelling_a_queued_job_wakes_its_waiter(
+        self, served, monkeypatch, status_requests
+    ):
+        monkeypatch.setenv(DELAY_ENV, "1500")
+        app, client, _ = served
+        client.submit(COLOR)  # occupies the single worker
+        queued = client.submit({**COLOR, "seed": 7})["job_id"]
+        entered = _blocked_waits(monkeypatch, app)
+        views = []
+        waiter = threading.Thread(target=lambda: views.append(client.wait(queued, timeout=60)))
+        waiter.start()
+        assert entered.wait(10)
+        client.cancel(queued)
+        waiter.join(10)
+        assert not waiter.is_alive()
+        assert views[0]["state"] == "cancelled"
+        assert len(status_requests) == 1
+
+    def test_close_wakes_blocked_waiters(self, served, monkeypatch):
+        monkeypatch.setenv(DELAY_ENV, "1500")
+        app, client, _ = served
+        client.submit(COLOR)  # occupies the single worker
+        queued = client.submit({**COLOR, "seed": 7})["job_id"]
+        entered = _blocked_waits(monkeypatch, app)
+        views = []
+        waiter = threading.Thread(target=lambda: views.append(app.job(queued, wait=30)))
+        waiter.start()
+        assert entered.wait(10)
+        closer = threading.Thread(target=app.close)
+        closer.start()
+        waiter.join(1.0)
+        assert not waiter.is_alive()
+        assert views[0]["state"] in ("queued", "running")
+        app.cancel(queued)  # spare the draining worker a second job
+        closer.join(30)
+
+
+    def test_generation_counts_every_terminal_write(self, tmp_path):
+        class Ledger:  # all finish() needs of a store
+            def update_job(self, job_id, **fields):
+                pass
+
+        executor = JobExecutor(str(tmp_path / "runs.sqlite"))
+        writers, writes = 8, 200
+        seen = executor.generation
+        woke = []
+        waiter = threading.Thread(target=lambda: woke.append(executor.wait_change(seen, 30)))
+
+        def write():
+            for _ in range(writes):
+                executor.finish(Ledger(), "j", "done")
+
+        threads = [threading.Thread(target=write) for _ in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            waiter.start()
+            for t in threads:
+                t.start()
+            for t in [*threads, waiter]:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*threads, waiter])
+        assert executor.generation == seen + writers * writes
+        assert woke == [True]
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("path", ["/jobs/feedfacecafe?wait=abc", "/jobs?limit=abc"])
+    def test_non_numeric_query_is_400(self, served, path):
+        _, client, _ = served
+        status, doc = _raw_http(
+            client, f"GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode()
+        )
+        assert status == 400
+        assert "must be a number" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413), (str(10**12), 413)],
+    )
+    def test_bad_content_length(self, served, length, status):
+        # no body follows: a server that tried to read one would hang
+        _, client, _ = served
+        got, doc = _raw_http(
+            client,
+            f"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        assert got == status
+        assert "error" in doc
+
+
+class TestCliWait:
+    def test_deadline_is_not_a_connection_error(self, served, monkeypatch, capsys):
+        monkeypatch.setenv(DELAY_ENV, "1500")
+        _, client, _ = served
+        job = client.submit(COLOR)
+        url = f"http://{client.host}:{client.port}"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["job", "wait", job["job_id"], "--timeout", "0.5", "--url", url])
+        message = str(exc.value.code)
+        assert f"job {job['job_id']} still" in message
+        assert "cannot reach server" not in message
+
+    def test_unreachable_server_is_reported(self, tmp_path):
+        sock = str(tmp_path / "nobody.sock")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["job", "wait", "feedfacecafe", "--socket", sock])
+        assert "cannot reach server" in str(exc.value.code)

@@ -10,8 +10,9 @@ sweep, so it loses to vertex kernels on uniform graphs and wins on
 skewed ones. That crossover is experiment E13.
 
 The *algorithm* is exactly max-min (same priorities, same seed → the
-identical coloring as :func:`repro.coloring.maxmin.maxmin_coloring`);
-only the simulated kernel organization differs.
+identical coloring as :func:`repro.coloring.maxmin.maxmin_coloring`):
+both run the one host loop :func:`repro.coloring.maxmin.maxmin_sweeps`,
+and only the simulated kernel organization they charge differs.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import neighbor_max, neighbor_min
-from .base import UNCOLORED, ColoringResult, IterationRecord
+from .base import UNCOLORED, ColoringResult
 from .kernels import GPUExecutor
-from .maxmin import compact_colors
+from .maxmin import SweepCharge, compact_colors, maxmin_sweeps
 from .priorities import make_priorities
 
 __all__ = ["edge_centric_maxmin", "edge_kernel_cycles_per_item"]
@@ -65,68 +65,39 @@ def edge_centric_maxmin(
     uncolored vertex (uniform O(1) items — zero divergence), then a
     vertex decision kernel over the active set. Produces exactly the
     coloring :func:`maxmin_coloring` produces for the same seed.
-    ``context`` supplies the default seed and array backend when given.
+    ``context`` supplies the default seed when given.
     """
     ctx = resolve_context(context, executor)
     seed = ctx.resolve_seed(seed)
-    backend = ctx.backend
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    priorities = make_priorities(graph, priority, seed=seed)
     degrees = graph.degrees
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
-    cap = max_iterations if max_iterations is not None else n + 1
 
-    uncolored = np.ones(n, dtype=bool)
-    k = 0
-    while uncolored.any():
-        if k >= cap:
-            break
-        active_ids = np.flatnonzero(uncolored)
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        pr_lo = np.where(uncolored, priorities, np.inf)
-        nbr_hi = neighbor_max(graph, pr_hi, backend=backend)
-        nbr_lo = neighbor_min(graph, pr_lo, backend=backend)
-        is_max = uncolored & (priorities > nbr_hi)
-        is_min = uncolored & (priorities < nbr_lo) & ~is_max
-        colors[is_max] = 2 * k
-        colors[is_min] = 2 * k + 1
-        newly = int(is_max.sum() + is_min.sum())
-        uncolored &= ~(is_max | is_min)
-
-        cycles = 0.0
-        eff = None
+    def charge(k: int, active_ids: np.ndarray) -> SweepCharge:
         names = (f"ec_edges_it{k}", f"ec_decide_it{k}")
-        if executor is not None:
-            num_edge_items = int(degrees[active_ids].sum())
-            t1 = executor.time_uniform(
-                num_edge_items,
-                edge_kernel_cycles_per_item(executor),
-                traffic_elements=2.0 * num_edge_items,
-                name=names[0],
-            )
-            t2 = executor.time_uniform(
-                int(active_ids.size),
-                _vertex_decision_cycles(executor),
-                traffic_elements=4.0 * active_ids.size,
-                name=names[1],
-            )
-            cycles = t1.cycles + t2.cycles
-            eff = t1.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=int(active_ids.size),
-                newly_colored=newly,
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=names,
-            )
+        if executor is None:
+            return 0.0, None, names
+        num_edge_items = int(degrees[active_ids].sum())
+        t1 = executor.time_uniform(
+            num_edge_items,
+            edge_kernel_cycles_per_item(executor),
+            traffic_elements=2.0 * num_edge_items,
+            name=names[0],
         )
-        k += 1
+        t2 = executor.time_uniform(
+            int(active_ids.size),
+            _vertex_decision_cycles(executor),
+            traffic_elements=4.0 * active_ids.size,
+            name=names[1],
+        )
+        return t1.cycles + t2.cycles, t1.simd_efficiency, names
 
+    colors = np.full(graph.num_vertices, UNCOLORED, dtype=np.int64)
+    iterations, total_cycles = maxmin_sweeps(
+        graph,
+        make_priorities(graph, priority, seed=seed),
+        colors,
+        charge,
+        max_iterations=max_iterations,
+    )
     return ColoringResult(
         algorithm="edge-centric-maxmin",
         colors=compact_colors(colors),

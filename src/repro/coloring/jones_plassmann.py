@@ -6,6 +6,11 @@ color absent from its (already colored) neighborhood. Compared with the
 max-min baseline it extracts one set per sweep instead of two, but the
 first-fit choice packs colors tighter — the approach-comparison
 experiment (E3) contrasts exactly these behaviors.
+
+Winner selection is data-driven on the host: each round reduces over
+the live subgraph of uncolored vertices
+(:class:`~repro.coloring._nbr.LiveSubgraph`), while the simulated
+charge stays the active set's degrees.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import first_fit_colors, neighbor_max
+from ._nbr import LiveSubgraph, first_fit_colors
 from .base import UNCOLORED, ColoringResult, IterationRecord
 from .kernels import GPUExecutor
 from .priorities import make_priorities
@@ -50,19 +55,20 @@ def jones_plassmann_coloring(
     total_cycles = 0.0
     cap = max_iterations if max_iterations is not None else n + 1
 
-    uncolored = np.ones(n, dtype=bool)
+    live = LiveSubgraph(graph)
     k = 0
-    while uncolored.any():
+    while live.ids.size:
         if k >= cap:
             break
-        active_ids = np.flatnonzero(uncolored)
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        winners = uncolored & (priorities > neighbor_max(graph, pr_hi, backend=backend))
-        winner_ids = np.flatnonzero(winners)
+        active_ids = live.ids
+        nbr_max = live.reduce(live.neighbor_values(priorities), np.maximum, -np.inf)
+        won = priorities[active_ids] > nbr_max
+        winner_ids = active_ids[won]
         # Winners form an independent set among uncolored vertices, so
         # assigning all their first-fit colors at once cannot conflict.
+        # First-fit reads the winners' full rows: colored neighbors block.
         colors[winner_ids] = first_fit_colors(graph, colors, winner_ids, backend=backend)
-        uncolored[winner_ids] = False
+        live.drop(won)
 
         cycles = 0.0
         eff = None

@@ -10,21 +10,31 @@ the cost of a second comparison per neighbor.
 The numpy implementation performs the real algorithm (the returned
 coloring is genuine and validated); when a
 :class:`~repro.coloring.kernels.GPUExecutor` is supplied, each sweep is
-also charged simulated device time for the active set it scanned.
+also charged simulated device time for the active set it scanned. On
+the host the sweeps are data-driven: they reduce over the live subgraph
+of uncolored vertices only (:class:`~repro.coloring._nbr.LiveSubgraph`).
+:func:`maxmin_sweeps` is the loop itself, shared with the edge-centric
+variant, which charges the same sweeps differently.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import neighbor_max, neighbor_min
+from ._nbr import LiveSubgraph
 from .base import UNCOLORED, ColoringResult, IterationRecord
 from .kernels import GPUExecutor
 from .priorities import make_priorities
 
 __all__ = ["maxmin_coloring", "compact_colors"]
+
+#: What a sweep's charge callback returns: simulated cycles, SIMD
+#: efficiency (``None`` untimed) and the kernel names of the sweep.
+SweepCharge = tuple[float, float | None, tuple[str, ...]]
 
 
 def compact_colors(colors: np.ndarray) -> np.ndarray:
@@ -76,62 +86,29 @@ def maxmin_coloring(
     compact:
         Remap the final colors to a dense ``0..k-1`` range.
     context:
-        Run context supplying the default seed and the array backend;
-        resolved from ``executor`` (or a fresh default) when omitted.
+        Run context supplying the default seed; resolved from
+        ``executor`` (or a fresh default) when omitted.
     """
     ctx = resolve_context(context, executor)
     seed = ctx.resolve_seed(seed)
-    backend = ctx.backend
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    priorities = make_priorities(graph, priority, seed=seed)
     degrees = graph.degrees
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
-    cap = max_iterations if max_iterations is not None else n + 1
 
-    uncolored = np.ones(n, dtype=bool)
-    k = 0
-    while uncolored.any():
-        if k >= cap:
-            break
-        active_ids = np.flatnonzero(uncolored)
-        if active_ids.size < stop_when_active_below:
-            break
-        # One kernel sweep: every uncolored vertex reads uncolored
-        # neighbors' priorities and tests for local max / local min.
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        pr_lo = np.where(uncolored, priorities, np.inf)
-        nbr_hi = neighbor_max(graph, pr_hi, backend=backend)
-        nbr_lo = neighbor_min(graph, pr_lo, backend=backend)
-        is_max = uncolored & (priorities > nbr_hi)
-        is_min = uncolored & (priorities < nbr_lo) & ~is_max
-        colors[is_max] = 2 * k
-        colors[is_min] = 2 * k + 1
-        newly = int(is_max.sum() + is_min.sum())
-        uncolored &= ~(is_max | is_min)
+    def charge(k: int, active_ids: np.ndarray) -> SweepCharge:
+        name = f"maxmin_it{k}"
+        if executor is None:
+            return 0.0, None, (name,)
+        timing = executor.time_iteration(degrees[active_ids], name=name)
+        return timing.cycles, timing.simd_efficiency, (name,)
 
-        cycles = 0.0
-        eff = None
-        if executor is not None:
-            timing = executor.time_iteration(
-                degrees[active_ids], name=f"maxmin_it{k}"
-            )
-            cycles = timing.cycles
-            eff = timing.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=int(active_ids.size),
-                newly_colored=newly,
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=(f"maxmin_it{k}",),
-            )
-        )
-        k += 1
-
+    colors = np.full(graph.num_vertices, UNCOLORED, dtype=np.int64)
+    iterations, total_cycles = maxmin_sweeps(
+        graph,
+        make_priorities(graph, priority, seed=seed),
+        colors,
+        charge,
+        max_iterations=max_iterations,
+        stop_when_active_below=stop_when_active_below,
+    )
     return ColoringResult(
         algorithm="maxmin",
         colors=compact_colors(colors) if compact else colors,
@@ -139,3 +116,55 @@ def maxmin_coloring(
         total_cycles=total_cycles,
         device=executor.device if executor is not None else None,
     )
+
+
+def maxmin_sweeps(
+    graph: CSRGraph,
+    priorities: np.ndarray,
+    colors: np.ndarray,
+    charge: Callable[[int, np.ndarray], SweepCharge],
+    *,
+    max_iterations: int | None = None,
+    stop_when_active_below: int = 0,
+) -> tuple[list[IterationRecord], float]:
+    """The max-min sweep loop, coloring ``colors`` in place.
+
+    Each sweep reduces priorities over the live subgraph of uncolored
+    vertices, colors its local maxima ``2k`` and minima ``2k + 1``, then
+    calls ``charge(k, active_ids)`` for the sweep's simulated cycles,
+    SIMD efficiency and kernel names. Returns the per-sweep records and
+    the total cycles.
+    """
+    cap = max_iterations if max_iterations is not None else graph.num_vertices + 1
+    live = LiveSubgraph(graph)
+    iterations: list[IterationRecord] = []
+    total_cycles = 0.0
+    k = 0
+    while live.ids.size and k < cap and live.ids.size >= stop_when_active_below:
+        # One kernel sweep: every uncolored vertex reads uncolored
+        # neighbors' priorities and tests for local max / local min.
+        active_ids = live.ids
+        own = priorities[active_ids]
+        nbr = live.neighbor_values(priorities)
+        is_max = own > live.reduce(nbr, np.maximum, -np.inf)
+        is_min = (own < live.reduce(nbr, np.minimum, np.inf)) & ~is_max
+        del nbr  # the largest temporary: free it before drop() allocates
+        colors[active_ids[is_max]] = 2 * k
+        colors[active_ids[is_min]] = 2 * k + 1
+        done = is_max | is_min
+
+        cycles, eff, kernels = charge(k, active_ids)
+        total_cycles += cycles
+        iterations.append(
+            IterationRecord(
+                index=k,
+                active_vertices=int(active_ids.size),
+                newly_colored=int(done.sum()),
+                cycles=cycles,
+                simd_efficiency=eff,
+                kernels=kernels,
+            )
+        )
+        live.drop(done)
+        k += 1
+    return iterations, total_cycles

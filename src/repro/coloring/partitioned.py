@@ -61,7 +61,7 @@ def boundary_mask(graph: CSRGraph, block: np.ndarray) -> np.ndarray:
     owner = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
     cross = b[owner] != b[graph.indices]
     out = np.zeros(graph.num_vertices, dtype=bool)
-    np.logical_or.at(out, owner[cross], True)
+    out[owner[cross]] = True
     return out
 
 

@@ -44,15 +44,28 @@ def speculative_rounds(
     ``active`` are respected (an active vertex never picks a stable
     neighbor's color, so conflicts only arise between active vertices
     and the invariant "stable set is conflict-free" is preserved).
-    Returns the per-round records and the total simulated cycles.
+    The stable set must be conflict-free on entry: detection scans only
+    the edges between active vertices, and only those between the
+    round's losers stay for the next round. Returns the per-round
+    records and the total simulated cycles.
     """
     ctx = resolve_context(context, executor)
     backend = ctx.backend
     degrees = graph.degrees
-    edge_u, edge_v = graph.edge_array()
     iterations: list[IterationRecord] = []
     total_cycles = 0.0
     cap = max_iterations if max_iterations is not None else graph.num_vertices + 1
+    # Conflict candidates: the edges between two active vertices, each
+    # once as (smaller id, larger id) — the tie rule of a scan over the
+    # edge list. First-fit never picks a stable neighbor's color, so
+    # every conflict is such an edge.
+    active = np.asarray(active, dtype=np.int64)
+    is_active = np.zeros(graph.num_vertices, dtype=bool)
+    is_active[active] = True
+    nbrs, counts = graph.neighbor_lists(active)
+    owners = np.repeat(active, counts)
+    pair = (owners < nbrs) & is_active[nbrs]
+    edge_u, edge_v = np.compress(pair, owners), np.compress(pair, nbrs)
     k = 0
     while active.size:
         if k >= cap:
@@ -63,10 +76,14 @@ def speculative_rounds(
 
         # Kernel 2: conflict detection — a monochromatic edge uncolors
         # its lower-priority endpoint (the loser retries next round).
-        same = (colors[edge_u] == colors[edge_v]) & (colors[edge_u] != UNCOLORED)
-        cu, cv = edge_u[same], edge_v[same]
+        same = colors[edge_u] == colors[edge_v]
+        cu, cv = np.compress(same, edge_u), np.compress(same, edge_v)
         losers = np.unique(np.where(priorities[cu] < priorities[cv], cu, cv))
         colors[losers] = UNCOLORED
+        # losers are the uncolored active vertices: only edges between
+        # two of them can conflict again
+        pair = (colors[edge_u] == UNCOLORED) & (colors[edge_v] == UNCOLORED)
+        edge_u, edge_v = np.compress(pair, edge_u), np.compress(pair, edge_v)
 
         cycles = 0.0
         eff = None

@@ -8,6 +8,11 @@ those were hardwired to one NumPy ``ufunc.reduceat`` implementation in
 re-implemented (chunk-parallel thread pool today; GPU arrays tomorrow)
 without touching any algorithm.
 
+Not every GPU algorithm reduces through a backend: max-min,
+Jones–Plassmann and edge-centric reduce over the shrinking live subgraph
+of :class:`repro.coloring._nbr.LiveSubgraph` instead. Backends serve
+first-fit and the public whole-graph ``neighbor_*`` helpers.
+
 Backends are interchangeable by construction: every implementation
 computes each vertex's reduction in the same within-row order, so the
 results are bit-identical across backends — only the wall-clock cost
@@ -126,17 +131,9 @@ def _first_fit_rows(
     total = int(slot_start[-1])
 
     # Gather the adjacency of the requested vertices.
-    starts = graph.indptr[sel]
-    ends = graph.indptr[sel + 1]
-    counts = ends - starts
+    nbrs, counts = graph.neighbor_lists(sel)
     row_of_entry = np.repeat(np.arange(sel.size), counts)
-    # flat positions of each neighbor entry in graph.indices
-    if counts.sum():
-        offsets = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        entry_pos = np.arange(int(counts.sum()), dtype=np.int64) + offsets
-        nbr_color = cols[graph.indices[entry_pos]]
-    else:
-        nbr_color = np.empty(0, dtype=np.int64)
+    nbr_color = cols[nbrs]
 
     blocked = np.zeros(total, dtype=bool)
     if nbr_color.size:

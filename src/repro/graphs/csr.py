@@ -240,6 +240,30 @@ class CSRGraph:
         self._check_vertex(vertex)
         return self._indices[self._indptr[vertex] : self._indptr[vertex + 1]]
 
+    def neighbor_lists(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor lists of ``vertices``, concatenated in the given order.
+
+        Returns ``(neighbors, counts)``: ``counts[i]`` is the degree of
+        ``vertices[i]`` and its list is the ``i``-th run of
+        ``neighbors``, in CSR order. ``neighbors`` keeps the graph's
+        index dtype.
+        """
+        verts = np.asarray(vertices, dtype=np.int64)
+        starts = self._indptr[verts]
+        counts = self._indptr[verts + 1] - starts
+        # CSR positions as a running sum of steps: +1 inside a run, and a
+        # jump from the previous run's last entry at each run's start
+        # (one position-sized buffer, summed in place)
+        nonempty = counts > 0
+        run_starts, run_counts = starts[nonempty], counts[nonempty]
+        positions = np.ones(int(counts.sum()), dtype=np.int64)
+        if run_starts.size:
+            jumps = run_starts.copy()
+            jumps[1:] -= run_starts[:-1] + run_counts[:-1] - 1
+            positions[np.cumsum(run_counts) - run_counts] = jumps
+            np.cumsum(positions, out=positions)
+        return self._indices[positions], counts
+
     def has_edge(self, u: int, v: int) -> bool:
         """Membership test in ``O(log deg(u))``."""
         self._check_vertex(u)

@@ -42,43 +42,63 @@ def _positions_to_perm(positions: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _bfs_component(graph: CSRGraph, seed: int, visited: np.ndarray) -> np.ndarray:
+    """FIFO visit order of ``seed``'s component, built level by level.
+
+    A FIFO queue discovers the next level in the order the current
+    level's neighbor lists are scanned, so each level is the first
+    occurrence of every unvisited vertex in the gathered lists.
+    """
+    frontier = np.array([seed], dtype=np.int64)
+    visited[seed] = True
+    levels = [frontier]
+    while True:
+        nbrs, _ = graph.neighbor_lists(frontier)
+        nbrs = nbrs[~visited[nbrs]]
+        if not nbrs.size:
+            return np.concatenate(levels)
+        _, first = np.unique(nbrs, return_index=True)
+        frontier = nbrs[np.sort(first)]
+        visited[frontier] = True
+        levels.append(frontier)
+
+
 def bfs_order(graph: CSRGraph, *, source: int | None = None) -> np.ndarray:
     """Breadth-first relabeling; components are visited by smallest id.
 
-    ``source`` seeds the first component (default: vertex 0).
+    ``source`` seeds the first component (default: vertex 0). The order
+    is that of a FIFO queue scanning neighbors in CSR order; each
+    component is traversed a whole level at a time, and isolated
+    vertices, each its own component, are placed without a traversal.
+    Raises :class:`IndexError` for a ``source`` outside ``[0, n)``.
     """
     n = graph.num_vertices
-    visited = np.zeros(n, dtype=bool)
-    sequence = np.empty(n, dtype=np.int64)
-    pos = 0
-    queue: deque[int] = deque()
-    seeds = [source] if source is not None else []
-    seed_iter = iter(range(n))
+    if source is not None and not 0 <= source < n:
+        raise IndexError(f"source {source} out of range [0, {n})")
+    has_edges = graph.degrees > 0
+    visited = ~has_edges  # isolated vertices are placed, never traversed
 
-    def next_seed() -> int | None:
-        for s in seeds:
-            if not visited[s]:
-                return s
-        for s in seed_iter:
-            if not visited[s]:
-                return s
-        return None
+    def seeds():
+        """(seed, sort key) per non-isolated component, found lazily."""
+        if source is not None and has_edges[source]:
+            yield source, -1
+        pos = 0
+        while pos < n:
+            pos += int(visited[pos:].argmin())
+            if visited[pos]:
+                return
+            yield pos, pos
 
-    while pos < n:
-        s = next_seed()
-        if s is None:
-            break
-        visited[s] = True
-        queue.append(s)
-        while queue:
-            v = queue.popleft()
-            sequence[pos] = v
-            pos += 1
-            for w in graph.neighbors(v):
-                w = int(w)
-                if not visited[w]:
-                    visited[w] = True
-                    queue.append(w)
+    # components sort by key: the seed, or -1 for the source's; an
+    # isolated vertex is a component keyed by its own id
+    iso = np.flatnonzero(~has_edges)
+    parts, keys = [iso], [np.where(iso == source, -1, iso) if source is not None else iso]
+    for seed, key in seeds():
+        part = _bfs_component(graph, seed, visited)
+        parts.append(part)
+        keys.append(np.full(part.size, key, dtype=np.int64))
+    sequence = np.concatenate(parts)
+    sequence = sequence[np.argsort(np.concatenate(keys), kind="stable")]
     return _positions_to_perm(sequence)
 
 

@@ -134,6 +134,15 @@ class TestAccessors:
         u, v = g.edge_array()
         assert set(zip(u.tolist(), v.tolist())) == set(g.edges())
 
+    def test_neighbor_lists_concatenate_rows_in_order(self):
+        g = CSRGraph.from_edges([0, 0, 0, 3], [1, 2, 3, 5], num_vertices=6)
+        nbrs, counts = g.neighbor_lists(np.array([2, 4, 0, 3, 2]))
+        assert counts.tolist() == [1, 0, 3, 2, 1]
+        assert nbrs.tolist() == [0, 1, 2, 3, 0, 5, 0]
+        assert nbrs.dtype == g.indices.dtype
+        empty, none = g.neighbor_lists(np.array([], dtype=np.int64))
+        assert empty.size == 0 and none.size == 0
+
     def test_len_and_repr(self):
         g = gen.cycle(5)
         assert len(g) == 5
